@@ -14,12 +14,12 @@ using namespace ndq::bench;
 
 namespace {
 
-Engine MakeFleetEngine(
-    const DirectoryInstance& global,
-    const std::vector<std::pair<std::string, std::string>>& contexts) {
+// One replica per shard: {name, context dn} pairs.
+Engine MakeFleetEngine(const DirectoryInstance& global,
+                       std::vector<ShardSpec> shards) {
   EngineOptions opt;
   opt.backend = EngineBackend::kDistributed;
-  opt.topology = TopologyConfig::FromContexts(contexts);
+  opt.topology.shards = std::move(shards);
   return Engine(global, opt);
 }
 
@@ -37,29 +37,29 @@ int main() {
 
   const struct {
     const char* label;
-    std::vector<std::pair<std::string, std::string>> contexts;
+    std::vector<ShardSpec> shards;
   } fleets[] = {
-      {"1 server", {{"dc=com", "s0"}}},
+      {"1 server", {{"s0", "dc=com"}}},
       {"1+4 servers (per-org delegation)",
-       {{"dc=com", "root"},
-        {"dc=org0, dc=com", "s0"},
-        {"dc=org1, dc=com", "s1"},
-        {"dc=org2, dc=com", "s2"},
-        {"dc=org3, dc=com", "s3"}}},
+       {{"root", "dc=com"},
+        {"s0", "dc=org0, dc=com"},
+        {"s1", "dc=org1, dc=com"},
+        {"s2", "dc=org2, dc=com"},
+        {"s3", "dc=org3, dc=com"}}},
       {"1+8 servers (per-subdomain delegation)",
-       {{"dc=com", "root"},
-        {"dc=sub0, dc=org0, dc=com", "d0"},
-        {"dc=sub1, dc=org0, dc=com", "d1"},
-        {"dc=sub2, dc=org1, dc=com", "d2"},
-        {"dc=sub3, dc=org1, dc=com", "d3"},
-        {"dc=sub4, dc=org2, dc=com", "d4"},
-        {"dc=sub5, dc=org2, dc=com", "d5"},
-        {"dc=sub6, dc=org3, dc=com", "d6"},
-        {"dc=sub7, dc=org3, dc=com", "d7"},
-        {"dc=org0, dc=com", "o0"},
-        {"dc=org1, dc=com", "o1"},
-        {"dc=org2, dc=com", "o2"},
-        {"dc=org3, dc=com", "o3"}}},
+       {{"root", "dc=com"},
+        {"d0", "dc=sub0, dc=org0, dc=com"},
+        {"d1", "dc=sub1, dc=org0, dc=com"},
+        {"d2", "dc=sub2, dc=org1, dc=com"},
+        {"d3", "dc=sub3, dc=org1, dc=com"},
+        {"d4", "dc=sub4, dc=org2, dc=com"},
+        {"d5", "dc=sub5, dc=org2, dc=com"},
+        {"d6", "dc=sub6, dc=org3, dc=com"},
+        {"d7", "dc=sub7, dc=org3, dc=com"},
+        {"o0", "dc=org0, dc=com"},
+        {"o1", "dc=org1, dc=com"},
+        {"o2", "dc=org2, dc=com"},
+        {"o3", "dc=org3, dc=com"}}},
   };
 
   const struct {
@@ -79,7 +79,7 @@ int main() {
   };
 
   for (const auto& fleet_spec : fleets) {
-    Engine engine = MakeFleetEngine(global, fleet_spec.contexts);
+    Engine engine = MakeFleetEngine(global, fleet_spec.shards);
     DistributedDirectory* fleet = engine.fleet();
     Session session = engine.OpenSession();
     std::printf("\n== fleet: %s ==\n", fleet_spec.label);
@@ -116,11 +116,11 @@ int main() {
   std::printf("%-28s %8s %10s %10s\n", "mode", "msgs", "recs_ship",
               "coord_io");
   {
-    Engine engine = MakeFleetEngine(global, {{"dc=com", "root"},
-                                             {"dc=org0, dc=com", "s0"},
-                                             {"dc=org1, dc=com", "s1"},
-                                             {"dc=org2, dc=com", "s2"},
-                                             {"dc=org3, dc=com", "s3"}});
+    Engine engine = MakeFleetEngine(global, {{"root", "dc=com"},
+                                             {"s0", "dc=org0, dc=com"},
+                                             {"s1", "dc=org1, dc=com"},
+                                             {"s2", "dc=org2, dc=com"},
+                                             {"s3", "dc=org3, dc=com"}});
     DistributedDirectory* fleet = engine.fleet();
     Session session = engine.OpenSession();
     const char* local_l2 =
@@ -145,7 +145,7 @@ int main() {
   std::printf("\n== merge ablation (global scan, 1+4 fleet) ==\n");
   std::printf("%-28s %10s %12s\n", "mode", "recs_ship", "coord_io");
   {
-    Engine engine = MakeFleetEngine(global, fleets[1].contexts);
+    Engine engine = MakeFleetEngine(global, fleets[1].shards);
     DistributedDirectory* fleet = engine.fleet();
     Session session = engine.OpenSession();
     for (bool streaming : {false, true}) {

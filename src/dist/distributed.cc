@@ -10,8 +10,6 @@
 #include "exec/embedded_ref.h"
 #include "exec/hierarchy.h"
 #include "query/fingerprint.h"
-#include "query/optimize.h"
-#include "query/rewrite.h"
 #include "storage/external_sort.h"
 #include "storage/serde.h"
 
@@ -82,13 +80,6 @@ Result<DistributedDirectory> DistributedDirectory::Build(
   return dist;
 }
 
-Result<DistributedDirectory> DistributedDirectory::Build(
-    const DirectoryInstance& global,
-    const std::vector<std::pair<std::string, std::string>>& contexts,
-    size_t page_size) {
-  return Build(global, TopologyConfig::FromContexts(contexts, page_size));
-}
-
 Shard* DistributedDirectory::FindShard(const std::string& name) {
   for (auto& s : shards_) {
     if (s->name() == name) return s.get();
@@ -129,53 +120,11 @@ bool DistributedDirectory::AnyReplicaUp(const Shard& shard) {
   return false;
 }
 
-Status DistributedDirectory::FetchAtomicFromShard(Shard& shard,
-                                                  const Query& query,
-                                                  bool want_trace,
-                                                  ShardFetch* out) {
-  // One request/response attempt against `replica`. Every early exit is
-  // clean: a failed evaluation frees its own intermediates and a timed-out
-  // result run is freed here, so a retry (or a sibling) starts fresh.
-  auto attempt_one = [&](DirectoryServer* replica, bool* refused) -> Status {
-    net_.messages += 2;  // request + response
-    if (replica->is_down()) {
-      *refused = true;
-      return Status::Unavailable("replica '" + replica->name() +
-                                 "' is down");
-    }
-    const auto start = std::chrono::steady_clock::now();
-    std::lock_guard<std::mutex> replica_lock(replica->mu_);
-    OpTrace server_trace;
-    OpTrace* st = want_trace ? &server_trace : nullptr;
-    Result<EntryList> local =
-        query.op() == QueryOp::kLdap
-            ? EvalLdap(replica->disk(), replica->store(), query.base(),
-                       query.scope(), *query.ldap_filter(), st)
-            : EvalAtomic(replica->disk(), replica->store(), query.base(),
-                         query.scope(), query.filter(), st);
-    out->scanned_records = server_trace.scanned_records;
-    if (!local.ok()) return local.status();
-    Run run = local.TakeValue();
-    if (retry_policy_.timeout_micros > 0) {
-      double elapsed = std::chrono::duration<double, std::micro>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-      if (elapsed > static_cast<double>(retry_policy_.timeout_micros)) {
-        FreeRun(replica->disk(), &run).ok();
-        return Status::Unavailable("replica '" + replica->name() +
-                                   "' timed out");
-      }
-    }
-    // The sorted result STAYS on the replica's disk; the coordinator
-    // streams it during the merge (dist/merge.h).
-    out->replica = replica;
-    out->run = std::move(run);
-    return Status::OK();
-  };
-
+Result<ScopedRun> DistributedDirectory::WalkReplicas(
+    Shard& shard, const ReplicaAttempt& attempt, ReplicaWalk* walk) {
   const size_t num_replicas = shard.replicas_.size();
-  // Read load-balancing: each fetch starts its ring walk one replica past
-  // the previous fetch's start.
+  // Read load-balancing: each request starts its ring walk one replica
+  // past the previous request's start.
   const size_t start =
       shard.next_replica_.fetch_add(1, std::memory_order_relaxed) %
       num_replicas;
@@ -188,18 +137,39 @@ Status DistributedDirectory::FetchAtomicFromShard(Shard& shard,
     DirectoryServer* replica =
         shard.replicas_[(start + k) % num_replicas].get();
     uint64_t backoff = retry_policy_.backoff_micros;
-    for (int attempt = 1;; ++attempt) {
-      bool refused = false;
-      last = attempt_one(replica, &refused);
-      if (last.ok()) return last;
+    for (int attempt_no = 1;; ++attempt_no) {
+      net_.messages += 2;  // request + response
+      // A down replica refuses instantly: fail over to a sibling now
+      // instead of burning the backoff budget on a known-dead server.
+      if (replica->is_down()) {
+        last = Status::Unavailable("replica '" + replica->name() +
+                                   "' is down");
+        break;
+      }
+      // Every early exit of an attempt is clean: a failed evaluation frees
+      // its own intermediates, and a timed-out result is freed with its
+      // guard, so a retry (or a sibling) starts fresh.
+      const auto issued = std::chrono::steady_clock::now();
+      Result<ScopedRun> out = attempt(replica);
+      const double elapsed = std::chrono::duration<double, std::micro>(
+                                 std::chrono::steady_clock::now() - issued)
+                                 .count();
+      if (out.ok() && retry_policy_.timeout_micros > 0 &&
+          elapsed > static_cast<double>(retry_policy_.timeout_micros)) {
+        out = Status::Unavailable("replica '" + replica->name() +
+                                  "' timed out");
+      }
+      if (out.ok()) {
+        walk->replica = replica;
+        return out;
+      }
+      last = out.status();
       // Only transient (Unavailable) failures are worth another attempt;
       // a corrupted page or a logic error fails immediately, because
       // neither a retry nor a sibling holding the same data can fix it.
       if (last.code() != StatusCode::kUnavailable) return last;
-      // A down replica refuses instantly: fail over to a sibling now
-      // instead of burning the backoff budget on a known-dead server.
-      if (refused || attempt >= max_attempts) break;
-      ++out->retries;
+      if (attempt_no >= max_attempts) break;
+      ++walk->retries;
       ++net_.retries;
       if (backoff > 0) {
         uint64_t sleep_us = backoff;
@@ -221,11 +191,38 @@ Status DistributedDirectory::FetchAtomicFromShard(Shard& shard,
     // any is left to try).
     if (k + 1 < num_replicas) {
       ++net_.failovers;
-      ++out->failovers;
+      ++walk->failovers;
       replica->failovers_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   return last;
+}
+
+Status DistributedDirectory::FetchAtomicFromShard(Shard& shard,
+                                                  const Query& query,
+                                                  bool want_trace,
+                                                  ShardFetch* out) {
+  Result<ScopedRun> run = WalkReplicas(
+      shard,
+      [&](DirectoryServer* replica) -> Result<ScopedRun> {
+        OpTrace server_trace;
+        OpTrace* st = want_trace ? &server_trace : nullptr;
+        Result<EntryList> local =
+            query.op() == QueryOp::kLdap
+                ? EvalLdap(replica->disk(), replica->store(), query.base(),
+                           query.scope(), *query.ldap_filter(), st)
+                : EvalAtomic(replica->disk(), replica->store(), query.base(),
+                             query.scope(), query.filter(), st);
+        out->scanned_records = server_trace.scanned_records;
+        if (!local.ok()) return local.status();
+        return ScopedRun(replica->disk(), local.TakeValue());
+      },
+      out);
+  if (!run.ok()) return run.status();
+  // The sorted result STAYS on the replica's disk; the coordinator streams
+  // it during the merge (dist/merge.h).
+  out->run = run->Release();
+  return Status::OK();
 }
 
 namespace {
@@ -257,12 +254,8 @@ Result<Run> MaterializeAndMerge(Disk* coord, const RecordKeyFn& key_fn,
         return added;
       }
     }
-    Status closed = streams[i]->Close();
-    if (!closed.ok()) {
-      *failed_stream = i;
-      cleanup();
-      return closed;
-    }
+    // Best effort, as in the streaming merge: the stream is fully copied.
+    streams[i]->Close().ok();
     Result<Run> run = writer.Finish();
     if (!run.ok()) {
       cleanup();
@@ -324,7 +317,7 @@ Result<EntryList> DistributedDirectory::EvaluateAtomicDistributed(
     };
     std::vector<PerShard> rs(owners.size());
     {
-      ThreadPool::TaskGroup group(pool_.get());
+      ThreadPool::TaskGroup group(pool_);
       for (size_t i = 0; i < owners.size(); ++i) {
         if (excluded[i]) continue;
         group.Run([&, i] {
@@ -444,98 +437,53 @@ Result<EntryList> DistributedDirectory::ShipWholeQuery(const Query& query,
                                                        Shard* shard,
                                                        OpTrace* trace) {
   // The chosen replica evaluates the whole tree locally (on its own disk
-  // and scratch space) and only the final result crosses the network.
+  // and scratch space, forking onto the borrowed pool) and only the final
+  // result crosses the network.
   ++net_.queries_shipped;
   ++net_.servers_contacted;
-  auto attempt_one = [&](DirectoryServer* server) -> Result<EntryList> {
-    net_.messages += 2;
-    if (server->is_down()) {
-      return Status::Unavailable("replica '" + server->name() +
-                                 "' is down");
-    }
-    std::lock_guard<std::mutex> server_lock(server->mu_);
-    Evaluator remote(server->disk(), &server->store(), options_);
-    NDQ_ASSIGN_OR_RETURN(EntryList local, remote.Evaluate(query, trace));
-    ScopedRun local_guard(server->disk(), std::move(local));
-    RunWriter writer(coordinator_disk_.get(), RecordShape::kKeyed);
-    RunReader reader(server->disk(), local_guard.get());
-    std::string rec;
-    uint64_t recs = 0, bytes = 0;
-    while (true) {
-      NDQ_ASSIGN_OR_RETURN(bool more, reader.Next(&rec));
-      if (!more) break;
-      bytes += rec.size();
-      ++recs;
-      NDQ_RETURN_IF_ERROR(writer.Add(rec));
-    }
-    net_.bytes_shipped += bytes;
-    net_.records_shipped += recs;
-    if (trace != nullptr) {
-      // The remote evaluator filled `trace` (children included); record
-      // the final-result shipment here — under parallelism there is no
-      // stable global counter window to recover it from.
-      trace->shipped_records = recs;
-      trace->shipped_bytes = bytes;
-    }
-    NDQ_RETURN_IF_ERROR(local_guard.Free());
-    return writer.Finish();
-  };
-
-  const size_t num_replicas = shard->replicas_.size();
-  const size_t start =
-      shard->next_replica_.fetch_add(1, std::memory_order_relaxed) %
-      num_replicas;
-  uint64_t failovers = 0;
-  Status last = Status::Unavailable("shard '" + shard->name() +
-                                    "' has no replicas");
-  for (size_t k = 0; k < num_replicas; ++k) {
-    DirectoryServer* server =
-        shard->replicas_[(start + k) % num_replicas].get();
-    // A failed remote evaluation may have partially filled the trace;
-    // start it over for each replica (the successful one refills it).
-    if (trace != nullptr && k > 0) *trace = OpTrace();
-    Result<EntryList> out = attempt_one(server);
-    if (out.ok()) {
-      if (trace != nullptr) trace->failovers += failovers;
-      return out;
-    }
-    last = out.status();
-    if (last.code() != StatusCode::kUnavailable) return last;
-    if (k + 1 < num_replicas) {
-      ++net_.failovers;
-      ++failovers;
-      server->failovers_.fetch_add(1, std::memory_order_relaxed);
-    }
+  // Each attempt's remote evaluation overwrites `trace`; the I/O of the
+  // attempts that failed or timed out is still this node's I/O.
+  IoStats abandoned_io;
+  ReplicaWalk walk;
+  Result<ScopedRun> shipped = WalkReplicas(
+      *shard,
+      [&](DirectoryServer* server) -> Result<ScopedRun> {
+        if (trace != nullptr) abandoned_io += trace->io;
+        Evaluator remote(server->disk(), &server->store(), options_,
+                         /*cache=*/nullptr, pool_);
+        NDQ_ASSIGN_OR_RETURN(EntryList local, remote.Evaluate(query, trace));
+        ScopedRun local_guard(server->disk(), std::move(local));
+        RunWriter writer(coordinator_disk_.get(), RecordShape::kKeyed);
+        RunReader reader(server->disk(), local_guard.get());
+        std::string rec;
+        uint64_t recs = 0, bytes = 0;
+        while (true) {
+          NDQ_ASSIGN_OR_RETURN(bool more, reader.Next(&rec));
+          if (!more) break;
+          bytes += rec.size();
+          ++recs;
+          NDQ_RETURN_IF_ERROR(writer.Add(rec));
+        }
+        net_.bytes_shipped += bytes;
+        net_.records_shipped += recs;
+        if (trace != nullptr) {
+          trace->shipped_records = recs;
+          trace->shipped_bytes = bytes;
+        }
+        NDQ_RETURN_IF_ERROR(local_guard.Free());
+        NDQ_ASSIGN_OR_RETURN(Run run, writer.Finish());
+        return ScopedRun(coordinator_disk_.get(), std::move(run));
+      },
+      &walk);
+  if (trace != nullptr) {
+    if (!shipped.ok()) abandoned_io += trace->io;
+    trace->io += abandoned_io;
+    trace->retries += walk.retries;
+    trace->failovers += walk.failovers;
   }
-  return last;
+  if (!shipped.ok()) return shipped.status();
+  return shipped->Release();
 }
-
-IoStats DistributedDirectory::FleetIo() const {
-  IoStats total = coordinator_disk_->stats();
-  for (const auto& shard : shards_) {
-    for (const auto& r : shard->replicas_) {
-      const IoStats& d = r->disk_->stats();
-      total.page_reads += d.page_reads;
-      total.page_writes += d.page_writes;
-      total.pages_allocated += d.pages_allocated;
-      total.pages_freed += d.pages_freed;
-      total.faults_injected += d.faults_injected;
-    }
-  }
-  return total;
-}
-
-namespace {
-
-// Shipped subtrees are traced by the remote (sequential) evaluator, which
-// does not know pool worker ids; stamp the subtree with the thread that
-// drove the shipment so SubtreeWorkers() stays meaningful.
-void StampWorker(OpTrace* t, uint32_t worker) {
-  t->worker = worker;
-  for (OpTrace& child : t->children) StampWorker(&child, worker);
-}
-
-}  // namespace
 
 Result<EntryList> DistributedDirectory::EvaluateNode(const Query& query,
                                                      OpTrace* trace,
@@ -546,7 +494,7 @@ Result<EntryList> DistributedDirectory::EvaluateNode(const Query& query,
   *trace = OpTrace();
   const auto start = std::chrono::steady_clock::now();
   // Attribution via this thread's IoScope, not fleet-wide counter
-  // snapshots: under set_parallelism a sibling subtree's concurrent I/O
+  // snapshots: a sibling subtree's or another query's concurrent I/O
   // would land inside this node's snapshot window.
   bool shipped_whole = false;
   IoStats self;
@@ -557,17 +505,14 @@ Result<EntryList> DistributedDirectory::EvaluateNode(const Query& query,
   if (!out.ok()) return out;
   trace->label = QueryNodeLabel(query);
   trace->op = query.op();
-  if (shipped_whole) {
-    // The remote evaluation + shipping all ran on this thread, so `self`
-    // already covers the whole subtree; the children keep the remote
-    // evaluator's per-node attribution.
-    trace->io = self;
-    StampWorker(trace, ThreadPool::current_worker_id());
-  } else {
-    // trace->io may hold pre-attributed worker-side I/O (atomic fan-out);
-    // add this thread's own traffic and the children's subtrees. Shipping
-    // counters are cumulative like io, so roll the children's up too.
-    trace->io += self;
+  // trace->io may already hold I/O attributed elsewhere: the atomic
+  // fan-out's worker-side scans, or — for a node shipped whole — the
+  // remote evaluator's tree, whose own scopes claimed that I/O and whose
+  // root io already sums its children. `self` is this thread's remainder.
+  trace->io += self;
+  if (!shipped_whole) {
+    // Roll the children's subtrees up; shipping counters are cumulative
+    // like io.
     for (const OpTrace& child : trace->children) {
       trace->io += child.io;
       trace->shipped_records += child.shipped_records;
@@ -638,9 +583,13 @@ Result<EntryList> DistributedDirectory::EvaluateNodeDispatch(
       // back to the per-atomic path below, which retries each shard
       // independently and can degrade instead of failing. Start the
       // trace over — the aborted remote evaluation may have partially
-      // filled it.
+      // filled it — but keep the I/O the aborted shipment spent.
       ++net_.retries;
-      if (trace != nullptr) *trace = OpTrace();
+      if (trace != nullptr) {
+        const IoStats spent = trace->io;
+        *trace = OpTrace();
+        trace->io = spent;
+      }
     }
   }
   OpTrace* t1 = nullptr;
@@ -689,7 +638,7 @@ Result<EntryList> DistributedDirectory::EvaluateNodeDispatch(
     *out = ScopedRun(coordinator_disk_.get(), r.TakeValue());
   };
   {
-    ThreadPool::TaskGroup group(pool_.get());
+    ThreadPool::TaskGroup group(pool_);
     group.Run([&] { eval_into(*query.q1(), t1, &l1, &s1); });
     group.Run([&] { eval_into(*query.q2(), t2, &l2, &s2); });
     if (query.q3() != nullptr) {
@@ -759,15 +708,6 @@ Result<std::vector<Entry>> DistributedDirectory::Execute(
   return entries;
 }
 
-Result<std::vector<Entry>> DistributedDirectory::Evaluate(
-    const Query& query, OpTrace* trace) {
-  std::vector<DegradationWarning> warnings;
-  Result<std::vector<Entry>> out = Execute(query, trace, &warnings);
-  std::lock_guard<std::mutex> lock(warnings_->mu);
-  warnings_->warnings = std::move(warnings);
-  return out;
-}
-
 namespace {
 
 /// Coordinator-side view of the fleet for the cost model: estimates are
@@ -826,49 +766,6 @@ const EntrySource& DistributedDirectory::estimation_source() {
   return *fleet_source_;
 }
 
-Result<std::vector<std::vector<Entry>>> DistributedDirectory::EvaluateBatch(
-    const std::vector<QueryPtr>& queries, size_t cache_capacity_pages) {
-  const EntrySource& fleet = estimation_source();
-  std::vector<QueryPtr> canon;
-  canon.reserve(queries.size());
-  for (const QueryPtr& q : queries) {
-    if (q == nullptr) return Status::InvalidArgument("null query in batch");
-    QueryPtr c = RewriteQuery(q);
-    if (optimize_) c = OptimizeQuery(fleet, c).plan;
-    canon.push_back(std::move(c));
-  }
-  PlanCensus census = AnalyzeBatch(canon);
-  SharedOperands shared{census.SharedKeys()};
-  OperandCache cache(coordinator_disk_.get(), cache_capacity_pages);
-  std::vector<std::vector<Entry>> results;
-  results.reserve(canon.size());
-  Status failed;
-  std::vector<DegradationWarning> warnings;
-  for (const QueryPtr& q : canon) {
-    Result<std::vector<Entry>> r =
-        Execute(*q, nullptr, &warnings, &cache, &shared);
-    if (!r.ok()) {
-      failed = r.status();
-      break;
-    }
-    results.push_back(r.TakeValue());
-  }
-  {
-    // Legacy contract: last_warnings reflects the batch's final query.
-    std::lock_guard<std::mutex> lock(warnings_->mu);
-    warnings_->warnings = std::move(warnings);
-  }
-  // `cache` now clears itself, returning its pages to the coordinator.
-  NDQ_RETURN_IF_ERROR(failed);
-  return results;
-}
-
-std::vector<DegradationWarning> DistributedDirectory::last_warnings()
-    const {
-  std::lock_guard<std::mutex> lock(warnings_->mu);
-  return warnings_->warnings;
-}
-
 std::map<std::string, uint64_t> DistributedDirectory::ReplicaFailovers()
     const {
   std::map<std::string, uint64_t> out;
@@ -879,14 +776,6 @@ std::map<std::string, uint64_t> DistributedDirectory::ReplicaFailovers()
     }
   }
   return out;
-}
-
-void DistributedDirectory::set_parallelism(size_t n) {
-  if (n <= 1) {
-    pool_.reset();
-    return;
-  }
-  pool_ = std::make_unique<ThreadPool>(n);
 }
 
 void DistributedDirectory::ResetStats() {

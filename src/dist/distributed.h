@@ -33,6 +33,7 @@
 #define NDQ_DIST_DISTRIBUTED_H_
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -43,15 +44,14 @@
 #include "dist/topology.h"
 #include "exec/evaluator.h"
 #include "exec/operand_cache.h"
-#include "exec/parallel_evaluator.h"
 #include "exec/thread_pool.h"
 #include "query/ast.h"
 
 namespace ndq {
 
 /// Network accounting for distributed evaluation. Counters are relaxed
-/// atomics so concurrent sub-plan shipping (set_parallelism) and
-/// concurrent Execute calls (Engine sessions) keep the accounting exact.
+/// atomics so concurrent sub-plan shipping (set_pool) and concurrent
+/// Execute calls (Engine sessions) keep the accounting exact.
 struct NetStats {
   RelaxedCounter messages = 0;  ///< request/response round trips
   RelaxedCounter bytes_shipped = 0;  ///< result payload bytes moved to
@@ -77,7 +77,8 @@ struct NetStats {
 };
 
 /// How the coordinator treats a transient (Unavailable) failure of one
-/// replica: re-issue the request up to `max_attempts` times total,
+/// replica, for atomic fetches and whole shipped queries alike: re-issue
+/// the request up to `max_attempts` times total,
 /// backing off `backoff_micros * 2^(attempt-1)` between attempts, minus a
 /// uniform jitter of up to `backoff_jitter` of the delay (decorrelating
 /// the retry storms of concurrent sessions; 0 = deterministic backoff).
@@ -98,10 +99,12 @@ struct RetryPolicy {
 // DegradationWarning (core/degradation.h) is attached to evaluations that
 // returned a partial result: `source` names the shard whose contribution
 // is missing, `detail` carries the last failure (e.g. "replica 'org0/r1'
-// is down"). See DistributedDirectory::last_warnings.
+// is down"). See DistributedDirectory::Execute's `warnings`.
 
 /// One replica of a shard: the shard's naming context plus a full copy of
-/// its partition in a store over the replica's own disk.
+/// its partition in a store over the replica's own disk. A replica serves
+/// any number of requests at once: its disk and store are thread-safe, and
+/// every request attributes its I/O with its own IoScope.
 class DirectoryServer {
  public:
   DirectoryServer(std::string name, Dn context, size_t page_size);
@@ -132,11 +135,6 @@ class DirectoryServer {
   Dn context_;
   std::unique_ptr<SimDisk> disk_;
   EntryStore store_;
-  /// One outstanding shipped query/scan per replica: parallelism in the
-  /// coordinator comes from fanning out ACROSS shards, while each
-  /// replica's own evaluation stays sequential (so the remote evaluator's
-  /// snapshot-based tracing on the replica disk stays exact).
-  std::mutex mu_;
   std::atomic<bool> down_{false};
   std::atomic<uint64_t> failovers_{0};
 };
@@ -176,14 +174,6 @@ class DistributedDirectory {
   static Result<DistributedDirectory> Build(const DirectoryInstance& global,
                                             const TopologyConfig& topology);
 
-  /// DEPRECATED legacy form: raw (dn text, server name) pairs, one
-  /// replica per shard. Use the TopologyConfig overload (or better, an
-  /// Engine with EngineBackend::kDistributed).
-  static Result<DistributedDirectory> Build(
-      const DirectoryInstance& global,
-      const std::vector<std::pair<std::string, std::string>>& contexts,
-      size_t page_size = kDefaultPageSize);
-
   /// Names of the shards whose data an atomic query at (base, scope) can
   /// touch: the owner of the base dn plus, for subtree scopes, every
   /// delegate whose context lies under the base (dist/topology.h).
@@ -208,25 +198,6 @@ class DistributedDirectory {
       OperandCache* batch_cache = nullptr,
       const SharedOperands* batch_shared = nullptr);
 
-  /// DEPRECATED: single-caller form of Execute that parks its warnings in
-  /// last_warnings(). Frontends go through Engine sessions instead; the
-  /// member warning sink is racy under concurrent calls (use Execute's
-  /// `warnings` out-param).
-  Result<std::vector<Entry>> Evaluate(const Query& query,
-                                      OpTrace* trace = nullptr);
-
-  /// DEPRECATED: batched evaluation with cross-query sub-plan sharing at
-  /// the coordinator. Engine sessions' RunBatch supersedes this — same
-  /// sharing (it passes the per-batch cache through Execute), plus
-  /// admission control and parallel dispatch. Results are byte-identical
-  /// to calling Evaluate once per query with the same plans.
-  /// `cache_capacity_pages` bounds the per-batch cache on the coordinator
-  /// disk; the cache is dropped when the batch returns. last_warnings
-  /// reflects the batch's final query.
-  Result<std::vector<std::vector<Entry>>> EvaluateBatch(
-      const std::vector<QueryPtr>& queries,
-      size_t cache_capacity_pages = 4096);
-
   /// When enabled (default), a (sub)query whose atomic leaves all fall
   /// within ONE shard's exclusive ownership is shipped to a replica of
   /// that shard whole — it evaluates there with the usual algorithms and
@@ -249,23 +220,14 @@ class DistributedDirectory {
   /// nullptr if the query spans shards. Exposed for tests.
   Shard* SingleOwner(const Query& query);
 
-  /// Evaluates independent sub-plans (operand subtrees, per-shard atomic
-  /// fan-out) on up to `n` threads (1 = sequential, the default). Results
-  /// are identical to sequential evaluation; only scheduling changes. Not
+  /// Borrows `pool` (non-owning, must outlive its use; null = sequential,
+  /// the default) for independent sub-plans: operand subtrees, the
+  /// per-shard atomic fan-out, and the operand subtrees of queries shipped
+  /// whole to a replica. The Engine hands over its own pool. Results are
+  /// identical to sequential evaluation; only scheduling changes. Not
   /// thread-safe against a concurrent Execute.
-  void set_parallelism(size_t n);
-  size_t parallelism() const {
-    return pool_ != nullptr ? pool_->parallelism() : 1;
-  }
-
-  /// When enabled (default), EvaluateBatch runs the cost-based optimizer
-  /// (query/optimize.h) on each canonicalized plan before the sharing
-  /// census, against a coordinator-side view of the fleet's statistics
-  /// (summed per-shard estimates — still upper bounds). Short-circuits
-  /// avoid shipping provably-empty sub-plans; reordering canonicalizes
-  /// operand permutations so the census shares more.
-  void set_optimize(bool enabled) { optimize_ = enabled; }
-  bool optimize() const { return optimize_; }
+  void set_pool(ThreadPool* pool) { pool_ = pool; }
+  ThreadPool* pool() const { return pool_; }
 
   /// Transient-failure handling knobs (see RetryPolicy).
   void set_retry_policy(RetryPolicy policy) { retry_policy_ = policy; }
@@ -278,12 +240,6 @@ class DistributedDirectory {
   /// get fail-stop semantics (the Unavailable status propagates).
   void set_allow_degraded(bool enabled) { allow_degraded_ = enabled; }
   bool allow_degraded() const { return allow_degraded_; }
-
-  /// Warnings attached to the most recent Evaluate (empty when the result
-  /// was complete). Cleared at the start of each Evaluate. DEPRECATED
-  /// with it: racy under concurrent Execute (whose `warnings` out-param
-  /// replaces this).
-  std::vector<DegradationWarning> last_warnings() const;
 
   const NetStats& net_stats() const { return net_; }
   /// Snapshot of every replica's failover count, keyed by replica name
@@ -320,17 +276,31 @@ class DistributedDirectory {
     std::vector<DegradationWarning> warnings;
   };
 
-  /// One shard-level fetch: the atomic query evaluated on one healthy
-  /// replica, with round-robin replica choice, per-replica retries and
-  /// failover across the replica ring. On success `run` is the sorted
-  /// result ON `replica`'s own disk (the coordinator streams it during
-  /// the merge). The counters are filled in success and failure alike.
-  struct ShardFetch {
-    DirectoryServer* replica = nullptr;
-    Run run;
-    uint64_t scanned_records = 0;
+  /// Which replica answered a request to a shard, and what it took.
+  struct ReplicaWalk {
+    DirectoryServer* replica = nullptr;  ///< set on success
     uint64_t retries = 0;
     uint64_t failovers = 0;
+  };
+  /// One request/response attempt against one up replica, returning the
+  /// result run guarded on whichever disk it lives on.
+  using ReplicaAttempt = std::function<Result<ScopedRun>(DirectoryServer*)>;
+  /// The one replica walk behind every request to a shard: starts one
+  /// replica past the previous request's start (read round robin),
+  /// re-issues transient failures per the RetryPolicy (backoff, and an
+  /// attempt that outlives `timeout_micros` is dropped as transient), and
+  /// fails over along the replica ring. A down replica is refused without
+  /// an attempt. `walk`'s counters are filled in success and failure
+  /// alike.
+  Result<ScopedRun> WalkReplicas(Shard& shard, const ReplicaAttempt& attempt,
+                                 ReplicaWalk* walk);
+
+  /// One shard-level fetch: the atomic query evaluated on one healthy
+  /// replica (WalkReplicas). On success `run` is the sorted result ON
+  /// `replica`'s own disk (the coordinator streams it during the merge).
+  struct ShardFetch : ReplicaWalk {
+    Run run;
+    uint64_t scanned_records = 0;
   };
   Status FetchAtomicFromShard(Shard& shard, const Query& query,
                               bool want_trace, ShardFetch* out);
@@ -343,21 +313,20 @@ class DistributedDirectory {
   Result<EntryList> EvaluateNodeImpl(const Query& query, OpTrace* trace,
                                      bool* shipped_whole, EvalCtx& ctx);
   /// `shipped_whole` (may be null) is set when the node was pushed to one
-  /// replica whole — its children's trace I/O then came from the remote
-  /// evaluator and is already inside this node's own IoScope.
+  /// replica whole — the trace then holds the remote evaluator's tree,
+  /// whose root io already sums its children.
   Result<EntryList> EvaluateNodeDispatch(const Query& query, OpTrace* trace,
                                          bool* shipped_whole, EvalCtx& ctx);
   Result<EntryList> EvaluateAtomicDistributed(const Query& query,
                                               OpTrace* trace, EvalCtx& ctx);
 
+  /// Evaluates `query` whole on one replica of `shard` (WalkReplicas)
+  /// and ships only the final result to the coordinator.
   Result<EntryList> ShipWholeQuery(const Query& query, Shard* shard,
                                    OpTrace* trace);
 
   /// True when at least one replica of `shard` is up.
   static bool AnyReplicaUp(const Shard& shard);
-
-  /// I/O counters summed across the coordinator and every replica.
-  IoStats FleetIo() const;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   RoutingTable routing_;
@@ -366,23 +335,14 @@ class DistributedDirectory {
   NetStats net_;
   bool query_shipping_ = true;
   bool streaming_merge_ = true;
-  bool optimize_ = true;
   RetryPolicy retry_policy_;
   bool allow_degraded_ = true;
-  /// Mutex + warning list behind one shared_ptr so DistributedDirectory
-  /// stays movable (it travels through Result<> out of Build). Legacy
-  /// last_warnings() only; Execute uses its per-call EvalCtx sink.
-  struct WarningSink {
-    std::mutex mu;
-    std::vector<DegradationWarning> warnings;
-  };
-  std::shared_ptr<WarningSink> warnings_ =
-      std::make_shared<WarningSink>();
-  /// Jitter sequence for retry backoff (behind a shared_ptr for the same
-  /// movability reason).
+  /// Jitter sequence for retry backoff, behind a shared_ptr so
+  /// DistributedDirectory stays movable (it travels through Result<> out
+  /// of Build).
   std::shared_ptr<std::atomic<uint64_t>> jitter_seq_ =
       std::make_shared<std::atomic<uint64_t>>(0);
-  std::unique_ptr<ThreadPool> pool_;  // null = sequential
+  ThreadPool* pool_ = nullptr;  // borrowed; null = sequential
   /// Lazily built estimation view (FleetSource in the .cc). Built after
   /// the object has settled at its final address — a member built inside
   /// Build() would dangle when the Result moves the object out.

@@ -83,7 +83,8 @@ class ShardStream {
 /// Merges the streams into one run on `out_disk` with the head-of-key
 /// fast comparator (core/head64.h) over `key_fn`. Streams must each be
 /// sorted by key and pairwise disjoint (shard contexts are). Exhausted
-/// streams are Close()d as the merge drains them; on failure the failing
+/// streams are Close()d as the merge drains them (best effort: a drained
+/// stream's records are all merged); on failure the failing
 /// stream's index lands in `*failed_stream` (when non-null) so the caller
 /// can degrade that shard and retry without it. The streams stay owned by
 /// the caller — read consumed()/bytes_consumed()/refetches() afterwards

@@ -93,18 +93,6 @@ Result<TopologyConfig> TopologyConfig::Parse(const std::string& text) {
   return config;
 }
 
-TopologyConfig TopologyConfig::FromContexts(
-    const std::vector<std::pair<std::string, std::string>>& contexts,
-    size_t page_size) {
-  TopologyConfig config;
-  config.page_size = page_size;
-  config.shards.reserve(contexts.size());
-  for (const auto& [dn_text, name] : contexts) {
-    config.shards.push_back(ShardSpec{name, dn_text, 0});
-  }
-  return config;
-}
-
 std::string TopologyConfig::ToString() const {
   std::string out;
   out += "replicas " + std::to_string(replicas) + "\n";

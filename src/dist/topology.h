@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/dn.h"
@@ -54,12 +53,6 @@ struct TopologyConfig {
   /// Parses the text form above. Unknown directives, duplicate shard
   /// names, unparseable dns and replicas < 1 are InvalidArgument.
   static Result<TopologyConfig> Parse(const std::string& text);
-
-  /// The legacy (dn text, server name) pair list as a TopologyConfig with
-  /// one replica per shard — the migration shim for pre-topology callers.
-  static TopologyConfig FromContexts(
-      const std::vector<std::pair<std::string, std::string>>& contexts,
-      size_t page_size = kDefaultPageSize);
 
   std::string ToString() const;
 

@@ -600,18 +600,20 @@ void Engine::RebuildPoolLocked(size_t parallelism) {
   group_.reset();
   pool_.reset();
   options_.exec.parallelism = parallelism;
-  // The fleet fans out across shards with the same degree; its pool is
-  // its own (shard fetches must not deadlock against session dispatch).
-  if (fleet_ != nullptr) fleet_->set_parallelism(parallelism);
   // A session thread blocks on its ticket instead of helping the pool
-  // (unlike a direct ParallelEvaluator caller), so delivering
-  // `parallelism` concurrent evaluation threads takes that many WORKERS —
-  // a ThreadPool of parallelism+1. With parallelism 1 the pool stays
+  // (unlike a direct Evaluator caller), so delivering `parallelism`
+  // concurrent evaluation threads takes that many WORKERS — a ThreadPool
+  // of parallelism+1. With parallelism 1 the pool stays
   // workerless and dispatch runs inline on the submitting thread.
   pool_ = std::make_unique<ThreadPool>(parallelism <= 1 ? 1
                                                         : parallelism + 1);
   group_ = std::make_unique<ThreadPool::TaskGroup>(pool_.get());
-  evaluator_ = std::make_unique<ParallelEvaluator>(
+  // The fleet's shard fan-out and its replicas' evaluations fork onto the
+  // same pool. Nesting them under session dispatch cannot deadlock: a
+  // thread waiting on a fork/join group runs that group's queued tasks
+  // itself (exec/thread_pool.h).
+  if (fleet_ != nullptr) fleet_->set_pool(pool_.get());
+  evaluator_ = std::make_unique<Evaluator>(
       scratch_, store_, options_.exec, cache_.get(), pool_.get());
   // Re-install the index hook: the evaluator was just recreated but the
   // indexes (if built) survive pool resizes.

@@ -24,11 +24,13 @@
 // DegradationWarning{source: "admission"} — never an abort, mirroring how
 // the distributed layer degrades instead of failing (core/degradation.h).
 //
-// Threading: the engine owns ONE fleet-wide pool; every in-flight query's
-// intra-query parallelism draws from it, so total concurrency is bounded
-// no matter how many sessions are open. Sessions are driven by user
-// threads; with parallelism 1 the pool has no workers and Submit runs the
-// query inline (the degenerate sequential mode, same code path).
+// Threading: the engine owns ONE pool; every in-flight query's
+// intra-query parallelism draws from it — on a distributed backend that
+// includes the coordinator's shard fan-out and the replicas' own
+// evaluations — so total concurrency is bounded no matter how many
+// sessions are open. Sessions are driven by user threads; with
+// parallelism 1 the pool has no workers and Submit runs the query inline
+// (the degenerate sequential mode, same code path).
 
 #ifndef NDQ_ENGINE_ENGINE_H_
 #define NDQ_ENGINE_ENGINE_H_
@@ -44,7 +46,7 @@
 
 #include "core/degradation.h"
 #include "dist/distributed.h"
-#include "exec/parallel_evaluator.h"
+#include "exec/evaluator.h"
 #include "index/attr_index.h"
 #include "query/optimize.h"
 #include "storage/fault_injector.h"
@@ -485,7 +487,7 @@ class Engine {
   // (pool first) gives the right destruction order.
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<ThreadPool::TaskGroup> group_;
-  std::unique_ptr<ParallelEvaluator> evaluator_;
+  std::unique_ptr<Evaluator> evaluator_;
 
   mutable std::mutex sched_mu_;
   std::condition_variable sched_cv_;

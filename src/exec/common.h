@@ -38,9 +38,10 @@ struct ExecOptions {
   /// External sort configuration (used by the embedded-reference
   /// operators, the only place the engine sorts).
   ExternalSortOptions sort;
-  /// Number of threads an evaluator may use for independent operand
-  /// subtrees (1 = sequential). Only ParallelEvaluator and the
-  /// distributed evaluator honor it; the plain Evaluator ignores it.
+  /// Number of threads that evaluate independent operand subtrees
+  /// (1 = sequential). An Evaluator without a borrowed pool sizes its
+  /// private pool from it; an Engine sizes its one pool from it, which
+  /// every query — local, coordinator fan-out or replica-side — borrows.
   size_t parallelism = 1;
 };
 

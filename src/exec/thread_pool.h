@@ -1,7 +1,7 @@
 // A small fork/join thread pool for intra-query parallelism.
 //
 // The evaluators spawn one task per independent operand subtree and join
-// at the operator (exec/parallel_evaluator.h, dist/distributed.cc). The
+// at the operator (exec/evaluator.h, dist/distributed.cc). The
 // pool is deliberately work-stealing-free: one shared FIFO queue under
 // one mutex. What makes nested fork/join deadlock-free is HELPING: a
 // thread waiting on its TaskGroup pops that group's not-yet-started tasks

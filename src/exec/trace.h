@@ -65,7 +65,7 @@ struct OpTrace {
   /// the number of re-issued per-server attempts beyond the first;
   /// `degraded_shards` counts servers whose contribution is MISSING from
   /// this node's output (unavailable after all retries — the query
-  /// degraded instead of failing; see NetStats::last_warnings).
+  /// degraded instead of failing; see QueryOutcome::warnings).
   uint64_t retries = 0;
   uint64_t degraded_shards = 0;
   /// Distributed atomic nodes: times a shard-level request abandoned one

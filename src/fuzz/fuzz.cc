@@ -12,7 +12,6 @@
 #include "engine/engine.h"
 #include "exec/evaluator.h"
 #include "exec/operand_cache.h"
-#include "exec/parallel_evaluator.h"
 #include "fuzz/naive_eval.h"
 #include "gen/random_forest.h"
 #include "gen/random_query.h"
@@ -58,23 +57,22 @@ std::string DiffEntries(const std::vector<Entry>& want,
 // Naming contexts for the distributed oracles: one server per forest
 // root, plus (when the forest has any depth-2 entry) one delegated
 // subtree so referral chasing and coordinator merging get exercised.
-std::vector<std::pair<std::string, std::string>> MakeContexts(
-    const DirectoryInstance& instance) {
-  std::vector<std::pair<std::string, std::string>> contexts;
+std::vector<ShardSpec> MakeShards(const DirectoryInstance& instance) {
+  std::vector<ShardSpec> shards;
   const Entry* delegate = nullptr;
   size_t i = 0;
   for (const auto& [key, entry] : instance) {
     (void)key;
     if (entry.dn().depth() == 1) {
-      contexts.emplace_back(entry.dn().ToString(), "s" + std::to_string(i++));
+      shards.push_back({"s" + std::to_string(i++), entry.dn().ToString()});
     } else if (delegate == nullptr && entry.dn().depth() == 2) {
       delegate = &entry;
     }
   }
   if (delegate != nullptr) {
-    contexts.emplace_back(delegate->dn().ToString(), "d0");
+    shards.push_back({"d0", delegate->dn().ToString()});
   }
-  return contexts;
+  return shards;
 }
 
 bool KeysContained(const std::vector<Entry>& sub,
@@ -259,7 +257,7 @@ std::vector<CheckFailure> CheckCase(const DirectoryInstance& instance,
     for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
       ExecOptions opts;
       opts.parallelism = threads;
-      ParallelEvaluator par(&disk, &*store, opts, &cache);
+      Evaluator par(&disk, &*store, opts, &cache);
       check_entries("par" + std::to_string(threads),
                     par.EvaluateToEntries(*query));
     }
@@ -305,7 +303,7 @@ std::vector<CheckFailure> CheckCase(const DirectoryInstance& instance,
     OperandCache cache(&disk, kCachePages);
     ExecOptions par_opts;
     par_opts.parallelism = 2;
-    ParallelEvaluator par(&disk, &*store, par_opts, &cache);
+    Evaluator par(&disk, &*store, par_opts, &cache);
     check_entries("optimize1", par.EvaluateToEntries(*optimized));
   }
   // Thm 8.2(d) expansion: exact on prefix-closed instances, which
@@ -571,12 +569,11 @@ std::vector<CheckFailure> CheckCase(const DirectoryInstance& instance,
 
   // Distributed oracles, against a REPLICATED topology (two replicas per
   // shard) so the replica routing and failover paths get fuzzed too.
-  std::vector<std::pair<std::string, std::string>> contexts =
-      MakeContexts(instance);
-  if (options.with_distributed && !contexts.empty()) {
-    TopologyConfig topology =
-        TopologyConfig::FromContexts(contexts, kFuzzPageSize);
-    topology.replicas = 2;
+  TopologyConfig topology;
+  topology.shards = MakeShards(instance);
+  topology.page_size = kFuzzPageSize;
+  topology.replicas = 2;
+  if (options.with_distributed && !topology.shards.empty()) {
     Result<DistributedDirectory> fleet =
         DistributedDirectory::Build(instance, topology);
     ++local_checks;

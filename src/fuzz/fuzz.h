@@ -8,8 +8,9 @@
 //
 //   reference   the in-memory denotational semantics (query/reference.h)
 //   naive       whole-tree quadratic baselines (fuzz/naive_eval.h)
-//   exec        the external-memory Evaluator (stack/merge algorithms)
-//   par1/2/4    ParallelEvaluator at 1, 2 and 4 threads, sharing one
+//   exec        the external-memory Evaluator (stack/merge algorithms),
+//               sequential and uncached
+//   par1/2/4    the same Evaluator at 1, 2 and 4 threads, sharing one
 //               OperandCache (exercises typed cache keys under reuse)
 //   batch0..3   ndq::Engine Session::RunBatch over [Q, Q, (& Q Q),
 //               (| Q Q)]: cross-query operand sharing must leave every

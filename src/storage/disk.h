@@ -26,8 +26,8 @@
 // execution would have issued it. Page counts stay byte-identical whether
 // io-depth is 0 or 64; wall-clock is what changes.
 //
-// SimDisk is safe for concurrent use by the parallel evaluator
-// (exec/parallel_evaluator.h):
+// SimDisk is safe for concurrent use by evaluation threads
+// (exec/evaluator.h):
 //   * the page table is a chunked array behind atomic chunk pointers, so
 //     it grows without invalidating concurrent readers;
 //   * per-slot state (live flag, page bytes) is guarded by a sharded

@@ -7,7 +7,7 @@
 // theorems against them (not against wall time).
 //
 // The counters are relaxed atomics so that concurrent evaluation threads
-// (exec/parallel_evaluator.h) keep the accounting EXACT: fetch_add never
+// (exec/evaluator.h) keep the accounting EXACT: fetch_add never
 // loses an increment, and no ordering beyond the count itself is needed.
 // RelaxedCounter converts implicitly to uint64_t, so counter reads and
 // arithmetic look exactly like the plain-integer code they replaced.

@@ -14,6 +14,14 @@ using apps::PolicyDecision;
 using apps::QosPolicyEngine;
 using testing::D;
 
+// A borrowing Engine with the operand cache off, so tests that mutate the
+// store need no Engine::InvalidateCaches().
+EngineOptions Uncached() {
+  EngineOptions options;
+  options.cache_capacity_pages = 0;
+  return options;
+}
+
 TEST(AddressMatchTest, ComponentWildcards) {
   EXPECT_TRUE(AddressMatches("204.178.16.*", "204.178.16.5"));
   EXPECT_TRUE(AddressMatches("207.140.*.*", "207.140.3.9"));
@@ -28,8 +36,8 @@ struct PaperQos {
   SimDisk scratch{1024};
   DirectoryInstance inst = testing::PaperInstance();
   EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
-  QosPolicyEngine engine{&scratch, &store,
-                         D("dc=research, dc=att, dc=com")};
+  Engine db{&scratch, &store, Uncached()};
+  QosPolicyEngine engine{&db, D("dc=research, dc=att, dc=com")};
 };
 
 TEST(QosEngineTest, Figure12WeekendDenyScenario) {
@@ -100,7 +108,8 @@ TEST(QosEngineTest, PriorityResolutionOnSyntheticDomain) {
   DirectoryInstance inst = gen::GenerateDif(opt);
   SimDisk disk(1024), scratch(1024);
   EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
-  QosPolicyEngine engine(&scratch, &store, D("dc=sub0, dc=org0, dc=com"));
+  Engine db(&scratch, &store, Uncached());
+  QosPolicyEngine engine(&db, D("dc=sub0, dc=org0, dc=com"));
 
   PacketProfile packet;
   packet.source_address = "210.7.7.7";  // matches any *.*-tailed pattern

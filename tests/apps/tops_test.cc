@@ -14,13 +14,21 @@ using apps::QhpMatches;
 using apps::TopsResolver;
 using testing::D;
 
+// A borrowing Engine with the operand cache off, so tests that mutate the
+// store need no Engine::InvalidateCaches().
+EngineOptions Uncached() {
+  EngineOptions options;
+  options.cache_capacity_pages = 0;
+  return options;
+}
+
 struct PaperTops {
   SimDisk disk{1024};
   SimDisk scratch{1024};
   DirectoryInstance inst = testing::PaperInstance();
   EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
-  TopsResolver resolver{&scratch, &store,
-                        D("dc=research, dc=att, dc=com")};
+  Engine engine{&scratch, &store, Uncached()};
+  TopsResolver resolver{&engine, D("dc=research, dc=att, dc=com")};
 };
 
 TEST(QhpMatchTest, TimeWindowAndDays) {
@@ -105,7 +113,8 @@ TEST(TopsResolverTest, DynamicPolicyUpdateThroughMutableStore) {
     (void)key;
     ASSERT_TRUE(store.Add(entry).ok());
   }
-  TopsResolver resolver(&scratch, &store, D("dc=research, dc=att, dc=com"));
+  Engine engine(&scratch, &store, Uncached());
+  TopsResolver resolver(&engine, D("dc=research, dc=att, dc=com"));
   CallContext ctx{"", 1000, 3};
   CallResolution before = resolver.Resolve("jag", ctx).TakeValue();
   ASSERT_TRUE(before.winning_qhp.has_value());

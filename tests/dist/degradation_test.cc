@@ -23,10 +23,10 @@ namespace {
 // Same fixture split as distributed_test.cc: dc=com + dc=att on the root
 // server, the research subdomain delegated.
 DistributedDirectory PaperFleet() {
-  DirectoryInstance inst = testing::PaperInstance();
-  return DistributedDirectory::Build(
-             inst, {{"dc=com", "root-server"},
-                    {"dc=research, dc=att, dc=com", "research-server"}})
+  TopologyConfig topology;
+  topology.shards = {{"root-server", "dc=com"},
+                     {"research-server", "dc=research, dc=att, dc=com"}};
+  return DistributedDirectory::Build(testing::PaperInstance(), topology)
       .TakeValue();
 }
 
@@ -53,11 +53,11 @@ TEST(DegradationTest, DownedServerYieldsPartialResultWithWarning) {
   // Spans both servers; only the root server's two entries can arrive.
   QueryPtr q = ParseQuery("(dc=com ? sub ? objectClass=*)").TakeValue();
   OpTrace trace;
-  Result<std::vector<Entry>> got = fleet.Evaluate(*q, &trace);
+  std::vector<DegradationWarning> warnings;
+  Result<std::vector<Entry>> got = fleet.Execute(*q, &trace, &warnings);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got->size(), 2u);  // dc=com, dc=att
 
-  std::vector<DegradationWarning> warnings = fleet.last_warnings();
   ASSERT_EQ(warnings.size(), 1u);
   EXPECT_EQ(warnings[0].source, "research-server");
   EXPECT_NE(warnings[0].ToString().find("research-server"),
@@ -76,10 +76,11 @@ TEST(DegradationTest, FailStopWhenDegradationDisabled) {
   fleet.FindServer("research-server")->set_down(true);
 
   QueryPtr q = ParseQuery("(dc=com ? sub ? objectClass=*)").TakeValue();
-  Result<std::vector<Entry>> got = fleet.Evaluate(*q);
+  std::vector<DegradationWarning> warnings;
+  Result<std::vector<Entry>> got = fleet.Execute(*q, nullptr, &warnings);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kUnavailable);
-  EXPECT_TRUE(fleet.last_warnings().empty());
+  EXPECT_TRUE(warnings.empty());
 }
 
 TEST(DegradationTest, TransientFaultIsRetriedToAFullResult) {
@@ -94,7 +95,8 @@ TEST(DegradationTest, TransientFaultIsRetriedToAFullResult) {
   FaultInjector fi(
       {FaultInjector::FailNth(1, FaultOpBit(FaultOp::kRead))});
   fleet.FindServer("research-server")->disk()->set_fault_injector(&fi);
-  Result<std::vector<Entry>> got = fleet.Evaluate(*q);
+  std::vector<DegradationWarning> warnings;
+  Result<std::vector<Entry>> got = fleet.Execute(*q, nullptr, &warnings);
   fleet.FindServer("research-server")->disk()->set_fault_injector(nullptr);
 
   ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -102,7 +104,32 @@ TEST(DegradationTest, TransientFaultIsRetriedToAFullResult) {
   EXPECT_EQ(fi.faults_fired(), 1u);
   EXPECT_GE(uint64_t{fleet.net_stats().retries}, 1u);
   EXPECT_EQ(uint64_t{fleet.net_stats().degraded_results}, 0u);
-  EXPECT_TRUE(fleet.last_warnings().empty());
+  EXPECT_TRUE(warnings.empty());
+}
+
+// A replica refusing to free a result stream the merge has already
+// drained costs the answer nothing: every record is merged, so the query
+// neither fails nor degrades — in either merge mode.
+TEST(DegradationTest, FreeFaultAfterTheMergeDrainsKeepsTheResult) {
+  DirectoryInstance global = testing::PaperInstance();
+  DistributedDirectory fleet = PaperFleet();
+  fleet.set_retry_policy(FastRetries());
+  QueryPtr q = ParseQuery("(dc=com ? sub ? objectClass=*)").TakeValue();
+  std::vector<Entry> want = ReferenceResult(global, *q);
+  for (bool streaming : {true, false}) {
+    SCOPED_TRACE(streaming ? "streaming merge" : "materialized merge");
+    fleet.set_streaming_merge(streaming);
+    FaultInjector fi(
+        {FaultInjector::FailNth(1, FaultOpBit(FaultOp::kFree))});
+    fleet.FindServer("research-server")->disk()->set_fault_injector(&fi);
+    std::vector<DegradationWarning> warnings;
+    Result<std::vector<Entry>> got = fleet.Execute(*q, nullptr, &warnings);
+    fleet.FindServer("research-server")->disk()->set_fault_injector(nullptr);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(fi.faults_fired(), 1u);
+    EXPECT_EQ(*got, want);
+    EXPECT_TRUE(warnings.empty());
+  }
 }
 
 TEST(DegradationTest, QueryShippingFallsBackWhenOwnerIsDown) {
@@ -117,10 +144,43 @@ TEST(DegradationTest, QueryShippingFallsBackWhenOwnerIsDown) {
           "   (dc=research, dc=att, dc=com ? sub ? objectClass=*))")
           .TakeValue();
   fleet.FindServer("research-server")->set_down(true);
-  Result<std::vector<Entry>> got = fleet.Evaluate(*q);
+  std::vector<DegradationWarning> warnings;
+  Result<std::vector<Entry>> got = fleet.Execute(*q, nullptr, &warnings);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_TRUE(got->empty());
-  EXPECT_FALSE(fleet.last_warnings().empty());
+  EXPECT_FALSE(warnings.empty());
+}
+
+// A query shipped whole honours the per-attempt timeout like the
+// per-atomic path: with a 1 us budget every shipment attempt times out,
+// the query falls back to per-atomic fetches, those time out too, and
+// the result degrades instead of coming back complete.
+TEST(DegradationTest, ShippedWholeQueryHonoursTheTimeout) {
+  DistributedDirectory fleet = PaperFleet();
+  RetryPolicy policy = FastRetries();
+  policy.timeout_micros = 1;
+  fleet.set_retry_policy(policy);
+  QueryPtr q = ParseQuery(
+                   "(c (dc=research, dc=att, dc=com ? sub ? "
+                   "objectClass=TOPSSubscriber)"
+                   "   (dc=research, dc=att, dc=com ? sub ? objectClass=QHP))")
+                   .TakeValue();
+  ASSERT_NE(fleet.SingleOwner(*q), nullptr);  // shipped whole
+
+  for (bool shipping : {true, false}) {
+    SCOPED_TRACE(shipping ? "shipped whole" : "per-atomic");
+    fleet.set_query_shipping(shipping);
+    fleet.ResetStats();
+    std::vector<DegradationWarning> warnings;
+    Result<std::vector<Entry>> got = fleet.Execute(*q, nullptr, &warnings);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(got->empty());
+    ASSERT_FALSE(warnings.empty());
+    EXPECT_NE(warnings[0].detail.find("timed out"), std::string::npos)
+        << warnings[0].ToString();
+    EXPECT_GE(uint64_t{fleet.net_stats().retries}, 2u);
+    EXPECT_EQ(uint64_t{fleet.net_stats().queries_shipped}, shipping ? 1u : 0u);
+  }
 }
 
 TEST(DegradationTest, RecoveryRestoresExactResults) {
@@ -135,23 +195,25 @@ TEST(DegradationTest, RecoveryRestoresExactResults) {
 
   DirectoryServer* research = fleet.FindServer("research-server");
   research->set_down(true);
-  Result<std::vector<Entry>> degraded = fleet.Evaluate(*q);
+  std::vector<DegradationWarning> warnings;
+  Result<std::vector<Entry>> degraded = fleet.Execute(*q, nullptr, &warnings);
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
-  EXPECT_FALSE(fleet.last_warnings().empty());
+  EXPECT_FALSE(warnings.empty());
 
-  // Server comes back: the very next evaluation is exact again, and the
-  // stale warnings are gone.
+  // Server comes back: the very next evaluation is exact again, with no
+  // warnings.
   research->set_down(false);
-  Result<std::vector<Entry>> healed = fleet.Evaluate(*q);
+  Result<std::vector<Entry>> healed = fleet.Execute(*q, nullptr, &warnings);
   ASSERT_TRUE(healed.ok()) << healed.status().ToString();
   EXPECT_EQ(*healed, want);
-  EXPECT_TRUE(fleet.last_warnings().empty());
+  EXPECT_TRUE(warnings.empty());
 }
 
 TEST(DegradationTest, ParallelFleetDegradesIdentically) {
   DistributedDirectory fleet = PaperFleet();
   fleet.set_retry_policy(FastRetries());
-  fleet.set_parallelism(3);
+  ThreadPool pool(3);
+  fleet.set_pool(&pool);
   fleet.FindServer("research-server")->set_down(true);
   QueryPtr q = ParseQuery(
                    "(& (dc=com ? sub ? objectClass=dcObject)"
@@ -159,10 +221,11 @@ TEST(DegradationTest, ParallelFleetDegradesIdentically) {
                    .TakeValue();
   for (int round = 0; round < 5; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
-    Result<std::vector<Entry>> got = fleet.Evaluate(*q);
+    std::vector<DegradationWarning> warnings;
+    Result<std::vector<Entry>> got = fleet.Execute(*q, nullptr, &warnings);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(got->size(), 2u);  // the root server's dc entries
-    EXPECT_FALSE(fleet.last_warnings().empty());
+    EXPECT_FALSE(warnings.empty());
   }
 }
 

@@ -1,27 +1,27 @@
-// DistributedDirectory::EvaluateBatch: coordinator-side sub-plan sharing
-// must return byte-identical results to per-query Evaluate while shipping
-// strictly less over the network when the batch repeats sub-plans.
-
-#include "dist/distributed.h"
+// Batched evaluation against a fleet (Engine RunBatch over a distributed
+// backend): coordinator-side sub-plan sharing must return byte-identical
+// results to one-at-a-time runs while shipping strictly less over the
+// network when the batch repeats sub-plans.
 
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/status_matchers.h"
+#include "engine/engine.h"
 #include "query/parser.h"
 #include "testing/paper_fixture.h"
 
 namespace ndq {
 namespace {
 
-DistributedDirectory PaperFleet() {
-  DirectoryInstance inst = testing::PaperInstance();
-  return DistributedDirectory::Build(
-             inst, {{"dc=com", "root-server"},
-                    {"dc=research, dc=att, dc=com", "research-server"}})
-      .TakeValue();
+EngineOptions PaperFleetOptions() {
+  EngineOptions options;
+  options.backend = EngineBackend::kDistributed;
+  options.topology.shards = {
+      {"root-server", "dc=com"},
+      {"research-server", "dc=research, dc=att, dc=com"}};
+  return options;
 }
 
 std::vector<QueryPtr> BatchPlans() {
@@ -38,57 +38,63 @@ std::vector<QueryPtr> BatchPlans() {
       // A non-atomic query entirely inside the delegated subtree: shipped
       // whole to the research server (query shipping), and only once when
       // batched.
-      "(& (dc=research, dc=att, dc=com ? sub ? objectClass=QHP)"
-      "   (dc=research, dc=att, dc=com ? sub ? objectClass=*))",
-      "(& (dc=research, dc=att, dc=com ? sub ? objectClass=QHP)"
-      "   (dc=research, dc=att, dc=com ? sub ? objectClass=*))",
+      "(c (dc=research, dc=att, dc=com ? sub ? objectClass=TOPSSubscriber)"
+      "   (dc=research, dc=att, dc=com ? sub ? objectClass=QHP))",
+      "(c (dc=research, dc=att, dc=com ? sub ? objectClass=TOPSSubscriber)"
+      "   (dc=research, dc=att, dc=com ? sub ? objectClass=QHP))",
   };
   std::vector<QueryPtr> plans;
   for (const char* text : texts) plans.push_back(ParseQuery(text).TakeValue());
   return plans;
 }
 
-TEST(DistBatchTest, BatchMatchesPerQueryEvaluate) {
+TEST(DistBatchTest, BatchMatchesOneAtATimeRuns) {
   std::vector<QueryPtr> plans = BatchPlans();
+  const DirectoryInstance inst = testing::PaperInstance();
 
-  DistributedDirectory sequential = PaperFleet();
+  Engine sequential(inst, PaperFleetOptions());
+  ASSERT_TRUE(sequential.init_status().ok());
+  Session one = sequential.OpenSession();
   std::vector<std::vector<Entry>> want;
   for (const QueryPtr& q : plans) {
-    NDQ_ASSERT_OK_AND_ASSIGN(std::vector<Entry> r, sequential.Evaluate(*q));
-    want.push_back(std::move(r));
+    QueryOutcome out = one.Run(q);
+    ASSERT_TRUE(out.ok()) << out.status.ToString();
+    want.push_back(std::move(out.entries));
   }
 
-  DistributedDirectory batched = PaperFleet();
-  NDQ_ASSERT_OK_AND_ASSIGN(std::vector<std::vector<Entry>> got,
-                           batched.EvaluateBatch(plans));
-  ASSERT_EQ(got.size(), plans.size());
+  Engine batched(inst, PaperFleetOptions());
+  ASSERT_TRUE(batched.init_status().ok());
+  BatchResult got = batched.OpenSession().RunBatch(plans);
+  ASSERT_EQ(got.outcomes.size(), plans.size());
   for (size_t i = 0; i < plans.size(); ++i) {
     SCOPED_TRACE(plans[i]->ToString());
-    EXPECT_EQ(got[i], want[i]);
+    ASSERT_TRUE(got.outcomes[i].ok()) << got.outcomes[i].status.ToString();
+    EXPECT_EQ(got.outcomes[i].entries, want[i]);
   }
 
   // Sharing at the coordinator: the duplicated queries never re-contact
   // the servers, so the batched fleet moves strictly less than the
-  // sequential one on every network axis.
-  EXPECT_LT(batched.net_stats().messages.load(),
-            sequential.net_stats().messages.load());
-  EXPECT_LT(batched.net_stats().queries_shipped.load(),
-            sequential.net_stats().queries_shipped.load());
+  // one-at-a-time one.
+  const NetStats& b = batched.fleet()->net_stats();
+  const NetStats& s = sequential.fleet()->net_stats();
+  EXPECT_LT(b.messages.load(), s.messages.load());
+  EXPECT_LT(b.queries_shipped.load(), s.queries_shipped.load());
 }
 
 TEST(DistBatchTest, EmptyAndSingletonBatches) {
-  DistributedDirectory fleet = PaperFleet();
-  NDQ_ASSERT_OK_AND_ASSIGN(std::vector<std::vector<Entry>> none,
-                           fleet.EvaluateBatch({}));
-  EXPECT_TRUE(none.empty());
+  Engine engine(testing::PaperInstance(), PaperFleetOptions());
+  ASSERT_TRUE(engine.init_status().ok());
+  Session session = engine.OpenSession();
+  EXPECT_TRUE(session.RunBatch(std::vector<QueryPtr>{}).outcomes.empty());
 
   QueryPtr q =
       ParseQuery("(dc=att, dc=com ? sub ? surName=jagadish)").TakeValue();
-  NDQ_ASSERT_OK_AND_ASSIGN(std::vector<std::vector<Entry>> one,
-                           fleet.EvaluateBatch({q}));
-  ASSERT_EQ(one.size(), 1u);
-  NDQ_ASSERT_OK_AND_ASSIGN(std::vector<Entry> want, fleet.Evaluate(*q));
-  EXPECT_EQ(one[0], want);
+  BatchResult one = session.RunBatch(std::vector<QueryPtr>{q});
+  ASSERT_EQ(one.outcomes.size(), 1u);
+  ASSERT_TRUE(one.outcomes[0].ok()) << one.outcomes[0].status.ToString();
+  QueryOutcome want = session.Run(q);
+  ASSERT_TRUE(want.ok()) << want.status.ToString();
+  EXPECT_EQ(one.outcomes[0].entries, want.entries);
 }
 
 }  // namespace

@@ -14,6 +14,19 @@
 namespace ndq {
 namespace {
 
+// One shard per forest root.
+TopologyConfig RootShards(const DirectoryInstance& global) {
+  TopologyConfig topology;
+  for (const auto& [key, entry] : global) {
+    (void)key;
+    if (entry.dn().depth() == 1) {
+      topology.shards.push_back({"s" + std::to_string(topology.shards.size()),
+                                 entry.dn().ToString()});
+    }
+  }
+  return topology;
+}
+
 class DistPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(DistPropertyTest, RandomQueriesAgreeAcrossRandomDelegations) {
@@ -24,27 +37,27 @@ TEST_P(DistPropertyTest, RandomQueriesAgreeAcrossRandomDelegations) {
   fopt.num_roots = 4;
   DirectoryInstance global = gen::RandomForest(fopt);
 
-  // Contexts: every root covered, plus random deeper delegations.
-  std::vector<std::pair<std::string, std::string>> contexts;
+  // Shards: every root covered, plus random deeper delegations.
+  TopologyConfig topology;
   int server_id = 0;
   std::vector<const Entry*> candidates;
   for (const auto& [key, entry] : global) {
     (void)key;
     if (entry.dn().depth() == 1) {
-      contexts.push_back({entry.dn().ToString(),
-                          "root" + std::to_string(server_id++)});
+      topology.shards.push_back(
+          {"root" + std::to_string(server_id++), entry.dn().ToString()});
     } else if (entry.dn().depth() <= 3) {
       candidates.push_back(&entry);
     }
   }
   for (int i = 0; i < 4 && !candidates.empty(); ++i) {
     const Entry* e = candidates[rng() % candidates.size()];
-    contexts.push_back(
-        {e->dn().ToString(), "delegate" + std::to_string(server_id++)});
+    topology.shards.push_back(
+        {"delegate" + std::to_string(server_id++), e->dn().ToString()});
   }
 
   DistributedDirectory fleet =
-      DistributedDirectory::Build(global, contexts).TakeValue();
+      DistributedDirectory::Build(global, topology).TakeValue();
   size_t total = 0;
   for (const auto& s : fleet.servers()) total += s->num_entries();
   ASSERT_EQ(total, global.size());
@@ -54,7 +67,7 @@ TEST_P(DistPropertyTest, RandomQueriesAgreeAcrossRandomDelegations) {
   for (int i = 0; i < 25; ++i) {
     QueryPtr q = gen::RandomQuery(&rng, global, qopt);
     SCOPED_TRACE(q->ToString());
-    Result<std::vector<Entry>> dist_r = fleet.Evaluate(*q);
+    Result<std::vector<Entry>> dist_r = fleet.Execute(*q);
     Result<std::vector<const Entry*>> ref_r =
         EvaluateReference(*q, global);
     ASSERT_EQ(dist_r.ok(), ref_r.ok());
@@ -76,23 +89,15 @@ TEST(DistPropertyTest, ShippedRecordsNeverExceedAtomicResults) {
   fopt.seed = 5;
   fopt.num_entries = 200;
   DirectoryInstance global = gen::RandomForest(fopt);
-  std::vector<std::pair<std::string, std::string>> contexts;
-  int sid = 0;
-  for (const auto& [key, entry] : global) {
-    (void)key;
-    if (entry.dn().depth() == 1) {
-      contexts.push_back({entry.dn().ToString(), "s" + std::to_string(sid++)});
-    }
-  }
   DistributedDirectory fleet =
-      DistributedDirectory::Build(global, contexts).TakeValue();
+      DistributedDirectory::Build(global, RootShards(global)).TakeValue();
 
   gen::RandomQueryOptions qopt;
   qopt.max_language = Language::kL2;
   for (int i = 0; i < 20; ++i) {
     QueryPtr q = gen::RandomQuery(&rng, global, qopt);
     fleet.ResetStats();
-    Result<std::vector<Entry>> r = fleet.Evaluate(*q);
+    Result<std::vector<Entry>> r = fleet.Execute(*q);
     if (!r.ok()) continue;
     // Upper bound: sum of atomic sub-query results over the whole forest.
     uint64_t atomic_total = 0;
@@ -108,44 +113,35 @@ TEST(DistPropertyTest, ShippedRecordsNeverExceedAtomicResults) {
 }
 
 TEST(DistPropertyTest, ParallelEvaluationMatchesSequentialShipping) {
-  // set_parallelism changes scheduling only: results, everything the
+  // A borrowed pool changes scheduling only: results, everything the
   // network carried, and the trace shape must match the sequential run.
   std::mt19937 rng(11);
   gen::RandomForestOptions fopt;
   fopt.seed = 11;
   fopt.num_entries = 200;
   DirectoryInstance global = gen::RandomForest(fopt);
-  std::vector<std::pair<std::string, std::string>> contexts;
-  int sid = 0;
-  for (const auto& [key, entry] : global) {
-    (void)key;
-    if (entry.dn().depth() == 1) {
-      contexts.push_back({entry.dn().ToString(), "s" + std::to_string(sid++)});
-    }
-  }
   DistributedDirectory fleet =
-      DistributedDirectory::Build(global, contexts).TakeValue();
+      DistributedDirectory::Build(global, RootShards(global)).TakeValue();
 
+  ThreadPool pool(4);
   gen::RandomQueryOptions qopt;
   qopt.max_language = Language::kL3;
   for (int i = 0; i < 20; ++i) {
     QueryPtr q = gen::RandomQuery(&rng, global, qopt);
     SCOPED_TRACE(q->ToString());
 
-    fleet.set_parallelism(1);
-    ASSERT_EQ(fleet.parallelism(), 1u);
+    fleet.set_pool(nullptr);
     fleet.ResetStats();
     OpTrace seq_trace;
-    Result<std::vector<Entry>> seq = fleet.Evaluate(*q, &seq_trace);
+    Result<std::vector<Entry>> seq = fleet.Execute(*q, &seq_trace);
     const uint64_t seq_recs = fleet.net_stats().records_shipped;
     const uint64_t seq_bytes = fleet.net_stats().bytes_shipped;
     const uint64_t seq_msgs = fleet.net_stats().messages;
 
-    fleet.set_parallelism(4);
-    ASSERT_EQ(fleet.parallelism(), 4u);
+    fleet.set_pool(&pool);
     fleet.ResetStats();
     OpTrace par_trace;
-    Result<std::vector<Entry>> par = fleet.Evaluate(*q, &par_trace);
+    Result<std::vector<Entry>> par = fleet.Execute(*q, &par_trace);
 
     ASSERT_EQ(seq.ok(), par.ok());
     if (!seq.ok()) continue;
@@ -160,7 +156,7 @@ TEST(DistPropertyTest, ParallelEvaluationMatchesSequentialShipping) {
     EXPECT_EQ(par_trace.output_records, seq_trace.output_records);
     EXPECT_EQ(par_trace.shipped_records, seq_trace.shipped_records);
   }
-  fleet.set_parallelism(1);
+  fleet.set_pool(nullptr);
 }
 
 }  // namespace

@@ -19,10 +19,10 @@ using testing::D;
 // The paper fixture split as in Figure 1's dotted server boundaries:
 // one server for dc=com + dc=att, one for the research subdomain.
 DistributedDirectory PaperFleet() {
-  DirectoryInstance inst = testing::PaperInstance();
-  return DistributedDirectory::Build(
-             inst, {{"dc=com", "root-server"},
-                    {"dc=research, dc=att, dc=com", "research-server"}})
+  TopologyConfig topology;
+  topology.shards = {{"root-server", "dc=com"},
+                     {"research-server", "dc=research, dc=att, dc=com"}};
+  return DistributedDirectory::Build(testing::PaperInstance(), topology)
       .TakeValue();
 }
 
@@ -40,9 +40,9 @@ TEST(DistributedTest, PartitionByDeepestContext) {
 
 TEST(DistributedTest, UncoveredEntryRejected) {
   DirectoryInstance inst = testing::PaperInstance();
-  std::vector<std::pair<std::string, std::string>> contexts = {
-      {"dc=att, dc=com", "only-att"}};
-  Result<DistributedDirectory> r = DistributedDirectory::Build(inst, contexts);
+  TopologyConfig topology;
+  topology.shards = {{"only-att", "dc=att, dc=com"}};
+  Result<DistributedDirectory> r = DistributedDirectory::Build(inst, topology);
   EXPECT_FALSE(r.ok());  // dc=com itself is uncovered
 }
 
@@ -90,7 +90,7 @@ TEST(DistributedTest, AgreesWithGlobalReference) {
   for (const char* text : queries) {
     SCOPED_TRACE(text);
     QueryPtr q = ParseQuery(text).TakeValue();
-    std::vector<Entry> dist_result = fleet.Evaluate(*q).TakeValue();
+    std::vector<Entry> dist_result = fleet.Execute(*q).TakeValue();
     std::vector<const Entry*> ref =
         EvaluateReference(*q, global).TakeValue();
     ASSERT_EQ(dist_result.size(), ref.size());
@@ -108,7 +108,7 @@ TEST(DistributedTest, NetworkAccounting) {
                    "   (dc=research, dc=att, dc=com ? sub ? "
                    "objectClass=dcObject))")
                    .TakeValue();
-  ASSERT_TRUE(fleet.Evaluate(*q).ok());
+  ASSERT_TRUE(fleet.Execute(*q).ok());
   const NetStats& net = fleet.net_stats();
   // First leaf touches both servers; second only the research server.
   EXPECT_EQ(net.servers_contacted, 3u);
@@ -128,7 +128,7 @@ TEST(DistributedTest, QueryShippingForSubtreeLocalQueries) {
                        "objectClass=QHP) count($2)>1)")
                        .TakeValue();
   fleet.ResetStats();
-  std::vector<Entry> r = fleet.Evaluate(*local).TakeValue();
+  std::vector<Entry> r = fleet.Execute(*local).TakeValue();
   ASSERT_EQ(r.size(), 1u);
   EXPECT_EQ(fleet.net_stats().queries_shipped, 1u);
   EXPECT_EQ(fleet.net_stats().messages, 2u);  // single round trip
@@ -139,7 +139,7 @@ TEST(DistributedTest, QueryShippingForSubtreeLocalQueries) {
   // With shipping disabled: same answer, more traffic.
   fleet.set_query_shipping(false);
   fleet.ResetStats();
-  std::vector<Entry> r2 = fleet.Evaluate(*local).TakeValue();
+  std::vector<Entry> r2 = fleet.Execute(*local).TakeValue();
   ASSERT_EQ(r2.size(), 1u);
   EXPECT_EQ(r2[0], r[0]);
   EXPECT_EQ(fleet.net_stats().queries_shipped, 0u);
@@ -154,7 +154,7 @@ TEST(DistributedTest, QueryShippingForSubtreeLocalQueries) {
                           .TakeValue();
   EXPECT_EQ(fleet.SingleOwner(*spanning), nullptr);
   fleet.ResetStats();
-  ASSERT_TRUE(fleet.Evaluate(*spanning).ok());
+  ASSERT_TRUE(fleet.Execute(*spanning).ok());
   EXPECT_EQ(fleet.net_stats().queries_shipped, 0u);
 }
 
@@ -163,14 +163,14 @@ TEST(DistributedTest, LargerFleetAgreesOnDifWorkload) {
   opt.num_orgs = 2;
   opt.subdomains_per_org = 2;
   DirectoryInstance global = gen::GenerateDif(opt);
+  TopologyConfig topology;
+  topology.shards = {{"root", "dc=com"},
+                     {"org0", "dc=org0, dc=com"},
+                     {"org1", "dc=org1, dc=com"},
+                     {"sub0", "dc=sub0, dc=org0, dc=com"},
+                     {"sub3", "dc=sub3, dc=org1, dc=com"}};
   DistributedDirectory fleet =
-      DistributedDirectory::Build(
-          global, {{"dc=com", "root"},
-                   {"dc=org0, dc=com", "org0"},
-                   {"dc=org1, dc=com", "org1"},
-                   {"dc=sub0, dc=org0, dc=com", "sub0"},
-                   {"dc=sub3, dc=org1, dc=com", "sub3"}})
-          .TakeValue();
+      DistributedDirectory::Build(global, topology).TakeValue();
   size_t total = 0;
   for (const auto& s : fleet.servers()) total += s->num_entries();
   EXPECT_EQ(total, global.size());
@@ -188,7 +188,7 @@ TEST(DistributedTest, LargerFleetAgreesOnDifWorkload) {
   for (const char* text : queries) {
     SCOPED_TRACE(text);
     QueryPtr q = ParseQuery(text).TakeValue();
-    std::vector<Entry> dist_result = fleet.Evaluate(*q).TakeValue();
+    std::vector<Entry> dist_result = fleet.Execute(*q).TakeValue();
     std::vector<const Entry*> ref =
         EvaluateReference(*q, global).TakeValue();
     ASSERT_EQ(dist_result.size(), ref.size());

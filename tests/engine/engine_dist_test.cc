@@ -6,6 +6,7 @@
 #include "engine/engine.h"
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -50,6 +51,9 @@ const char* kQueries[] = {
     "(vd (dc=com ? sub ? objectClass=SLAPolicyRules)"
     "    (& (dc=com ? sub ? sourcePort=25)"
     "       (dc=com ? sub ? objectClass=trafficProfile)) SLATPRef)",
+    // Entirely inside one shard: shipped whole to an org0 replica.
+    "(c (dc=org0, dc=com ? sub ? objectClass=TOPSSubscriber)"
+    "   (dc=org0, dc=com ? sub ? objectClass=QHP) count($2)>=3)",
 };
 
 // Same DirectoryInstance behind both backends: Session::Run must agree
@@ -157,20 +161,54 @@ TEST(EngineDistTest, ExplainAnalyzeShowsFailovers) {
   EXPECT_NE(rendered.find("shipped"), std::string::npos);
 }
 
-// Engine knobs reach the fleet: parallel dispatch over the shards keeps
-// results identical, and SetFaults/SetIoDepth at least survive the trip.
-TEST(EngineDistTest, ParallelismPropagatesToFleet) {
+// The fleet borrows the engine's one pool: its shard fan-out and its
+// replicas' evaluations fork onto the pool that also runs session
+// dispatch. At parallelism 4, concurrent sessions mixing shipped-whole and
+// cross-shard queries must still agree with the sequential run.
+TEST(EngineDistTest, FleetBorrowsTheEnginePool) {
   DirectoryInstance global = SmallDif();
   Engine dist(global, DistOptions());
   ASSERT_TRUE(dist.init_status().ok());
-  Session session = dist.OpenSession();
-  QueryOutcome sequential = session.Run(kQueries[2]);
-  ASSERT_TRUE(sequential.ok());
-  dist.SetParallelism(3);
-  EXPECT_EQ(dist.fleet()->parallelism(), 3u);
-  QueryOutcome parallel = session.Run(kQueries[2]);
-  ASSERT_TRUE(parallel.ok());
-  EXPECT_EQ(parallel.entries, sequential.entries);
+  std::vector<std::vector<Entry>> want;
+  {
+    Session session = dist.OpenSession();
+    for (const char* text : kQueries) {
+      QueryOutcome out = session.Run(text);
+      ASSERT_TRUE(out.ok()) << out.status.ToString();
+      want.push_back(std::move(out.entries));
+    }
+  }
+  // Parallelism 1: the borrowed pool is workerless, so the fleet runs
+  // sequentially on the calling thread.
+  ASSERT_NE(dist.fleet()->pool(), nullptr);
+  EXPECT_EQ(dist.fleet()->pool()->parallelism(), 1u);
+
+  dist.SetParallelism(4);
+  EXPECT_EQ(dist.parallelism(), 4u);
+  ASSERT_NE(dist.fleet()->pool(), nullptr);
+  EXPECT_GT(dist.fleet()->pool()->parallelism(), 1u);
+
+  const size_t n = sizeof(kQueries) / sizeof(kQueries[0]);
+  std::vector<std::vector<QueryOutcome>> got(4);
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < got.size(); ++c) {
+    clients.emplace_back([&, c] {
+      Session session = dist.OpenSession();
+      for (int round = 0; round < 2; ++round) {
+        for (size_t i = 0; i < n; ++i) {
+          got[c].push_back(session.Run(kQueries[(i + c) % n]));
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (size_t c = 0; c < got.size(); ++c) {
+    for (size_t k = 0; k < got[c].size(); ++k) {
+      SCOPED_TRACE(kQueries[(k + c) % n]);
+      ASSERT_TRUE(got[c][k].ok()) << got[c][k].status.ToString();
+      EXPECT_EQ(got[c][k].entries, want[(k + c) % n]);
+    }
+  }
 }
 
 }  // namespace

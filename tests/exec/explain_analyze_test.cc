@@ -223,18 +223,18 @@ TEST(ExplainAnalyzeTest, ReportIsStableAndParsable) {
 }
 
 TEST(ExplainAnalyzeTest, DistributedTraceRecordsShippingAndFleetIo) {
-  DirectoryInstance inst = testing::PaperInstance();
+  TopologyConfig topology;
+  topology.shards = {{"root-server", "dc=com"},
+                     {"research-server", "dc=research, dc=att, dc=com"}};
   DistributedDirectory fleet =
-      DistributedDirectory::Build(
-          inst, {{"dc=com", "root-server"},
-                 {"dc=research, dc=att, dc=com", "research-server"}})
+      DistributedDirectory::Build(testing::PaperInstance(), topology)
           .TakeValue();
   QueryPtr q = ParseQuery(
                    "(c (dc=com ? sub ? objectClass=organizationalUnit)"
                    "   (dc=com ? sub ? objectClass=QHP))")
                    .TakeValue();
   OpTrace trace;
-  std::vector<Entry> r = fleet.Evaluate(*q, &trace).TakeValue();
+  std::vector<Entry> r = fleet.Execute(*q, &trace).TakeValue();
   EXPECT_EQ(trace.NodeCount(), q->NodeCount());
   EXPECT_EQ(trace.output_records, r.size());
   // Both atomic leaves span both servers, so records crossed the wire and

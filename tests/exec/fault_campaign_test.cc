@@ -4,10 +4,12 @@
 // baseline) on the paper instance, and assert for each k that the
 // evaluator either absorbs the fault (identical results) or fails with a
 // clean Unavailable — never crashing, never leaking a page, and always
-// recovering byte-identically on retry. Runs against the sequential
-// Evaluator, the ParallelEvaluator with an OperandCache, and a separate
-// free-fault sweep (where stranded pages are the expected outcome and
-// only clean Status + clean recovery are required).
+// recovering byte-identically on retry. Runs against the Evaluator at
+// parallelism 1, at parallelism 2 and 4 with an OperandCache, and a
+// separate free-fault sweep (where stranded pages are the expected outcome
+// and only clean Status + clean recovery are required). The sweeps' golden
+// runs are themselves checked against the reference semantics and the
+// naive baselines first.
 
 #include <cstddef>
 #include <functional>
@@ -19,8 +21,9 @@
 
 #include "exec/evaluator.h"
 #include "exec/operand_cache.h"
-#include "exec/parallel_evaluator.h"
+#include "fuzz/naive_eval.h"
 #include "query/parser.h"
+#include "query/reference.h"
 #include "testing/fault_campaign.h"
 #include "testing/paper_fixture.h"
 
@@ -81,7 +84,42 @@ Result<std::vector<Entry>> EvaluateMix(Eval& evaluator,
   return all;
 }
 
-TEST(FaultCampaignTest, SequentialEvaluatorSurvivesEveryFault) {
+// The golden results every sweep compares against, checked against the
+// oracles: the reference semantics and the naive baselines must agree
+// with the Evaluator at parallelism 1, and it with parallelism 2 and 4.
+TEST(FaultCampaignTest, GoldenRunsAgreeWithOracles) {
+  DirectoryInstance inst = testing::PaperInstance();
+  std::vector<QueryPtr> mix = ParseMix();
+  ASSERT_FALSE(mix.empty());
+  SimDisk disk(1024);
+  EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
+
+  std::vector<Entry> reference;
+  std::vector<Entry> naive;
+  for (const QueryPtr& q : mix) {
+    Result<std::vector<const Entry*>> ref = EvaluateReference(*q, inst);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    for (const Entry* e : *ref) reference.push_back(*e);
+    Result<EntryList> list = fuzz::NaiveEvaluate(&disk, store, *q);
+    ASSERT_TRUE(list.ok()) << list.status().ToString();
+    ScopedRun guard(&disk, list.TakeValue());
+    Result<std::vector<Entry>> entries = ReadEntryList(&disk, guard.get());
+    ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+    naive.insert(naive.end(), entries->begin(), entries->end());
+  }
+  EXPECT_EQ(naive, reference);
+  for (size_t parallelism : {size_t{1}, size_t{2}, size_t{4}}) {
+    SCOPED_TRACE("parallelism " + std::to_string(parallelism));
+    ExecOptions options;
+    options.parallelism = parallelism;
+    Evaluator evaluator(&disk, &store, options);
+    Result<std::vector<Entry>> got = EvaluateMix(evaluator, mix);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, reference);
+  }
+}
+
+TEST(FaultCampaignTest, EvaluatorSurvivesEveryFault) {
   DirectoryInstance inst = testing::PaperInstance();
   SimDisk disk(1024);
   EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
@@ -101,26 +139,29 @@ TEST(FaultCampaignTest, SequentialEvaluatorSurvivesEveryFault) {
   EXPECT_GT(report.clean_failures, 0u);
 }
 
-TEST(FaultCampaignTest, ParallelEvaluatorWithCacheSurvivesEveryFault) {
+TEST(FaultCampaignTest, CachedParallelEvaluationSurvivesEveryFault) {
   DirectoryInstance inst = testing::PaperInstance();
-  SimDisk disk(1024);
-  EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
-  ExecOptions options;
-  options.parallelism = 3;
-  OperandCache cache(&disk, /*capacity_pages=*/4096);
-  ParallelEvaluator evaluator(&disk, &store, options, &cache);
   std::vector<QueryPtr> mix = ParseMix();
   ASSERT_FALSE(mix.empty());
+  for (size_t parallelism : {size_t{2}, size_t{4}}) {
+    SCOPED_TRACE("parallelism " + std::to_string(parallelism));
+    SimDisk disk(1024);
+    EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
+    ExecOptions options;
+    options.parallelism = parallelism;
+    OperandCache cache(&disk, /*capacity_pages=*/4096);
+    Evaluator evaluator(&disk, &store, options, &cache);
 
-  testing::FaultCampaignReport report;
-  testing::RunFaultCampaign(
-      &disk, [&] { return EvaluateMix(evaluator, mix); },
-      // Cached operand runs are live pages; drop them so the leak
-      // baseline compares equal across runs.
-      /*after_run=*/[&] { cache.Clear(); },
-      testing::FaultCampaignOptions(), &report);
-  EXPECT_GT(report.ks_tested, 1u);
-  EXPECT_GT(report.clean_failures + report.absorbed_successes, 0u);
+    testing::FaultCampaignReport report;
+    testing::RunFaultCampaign(
+        &disk, [&] { return EvaluateMix(evaluator, mix); },
+        // Cached operand runs are live pages; drop them so the leak
+        // baseline compares equal across runs.
+        /*after_run=*/[&] { cache.Clear(); },
+        testing::FaultCampaignOptions(), &report);
+    EXPECT_GT(report.ks_tested, 1u);
+    EXPECT_GT(report.clean_failures + report.absorbed_successes, 0u);
+  }
 }
 
 // The async variant of the sweep: with an io-depth attached, every read

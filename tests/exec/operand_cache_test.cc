@@ -11,7 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/operand_cache.h"
-#include "exec/parallel_evaluator.h"
+#include "exec/evaluator.h"
 #include "exec/thread_pool.h"
 #include "storage/fault_injector.h"
 #include "storage/run.h"
@@ -419,7 +419,7 @@ TEST(OperandCacheTest, TypedKeysPreventStaleServingAcrossFilterTypes) {
   SimDisk disk(1024);
   EntryStore store = EntryStore::BulkLoad(&disk, inst).TakeValue();
   OperandCache cache(&disk, /*capacity_pages=*/64);
-  ParallelEvaluator eval(&disk, &store, ExecOptions{}, &cache);
+  Evaluator eval(&disk, &store, ExecOptions{}, &cache);
 
   Dn base = Dn::Parse("dc=com").TakeValue();
   QueryPtr str_q = Query::Atomic(

@@ -7,7 +7,6 @@
 
 #include "exec/cost.h"
 #include "exec/evaluator.h"
-#include "exec/parallel_evaluator.h"
 #include "gen/dif_gen.h"
 #include "index/attr_index.h"
 #include "query/fingerprint.h"
@@ -321,10 +320,10 @@ TEST(OptimizeTest, IndexProbeMatchesScanByteForByte) {
   SimDisk scratch(1024);
 
   ExecOptions opts;
-  ParallelEvaluator plain(&scratch, &f.store, opts);
+  Evaluator plain(&scratch, &f.store, opts);
   std::vector<Entry> scanned = plain.EvaluateToEntries(*q).TakeValue();
 
-  ParallelEvaluator probed(&scratch, &f.store, opts);
+  Evaluator probed(&scratch, &f.store, opts);
   IndexHook hook;
   hook.indexes = &indexes;
   hook.store = &f.store;
